@@ -2,41 +2,38 @@ package main
 
 import (
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"pphcr/internal/client"
+	"pphcr/internal/content"
 )
 
-func TestQuantileMatchesSortOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(2000)
-		xs := make([]float64, n)
-		for i := range xs {
-			switch trial % 3 {
-			case 0:
-				xs[i] = rng.ExpFloat64()
-			case 1:
-				xs[i] = float64(rng.Intn(5)) // many duplicates
-			default:
-				xs[i] = float64(i) // already sorted
-			}
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
+func TestNearestRank(t *testing.T) {
+	// The nearest rank is the smallest k with at least q·n of n sorted
+	// values at or below index k.
+	for n := 1; n <= 300; n++ {
 		for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
-			k := int(math.Ceil(q*float64(n))) - 1
-			k = min(max(k, 0), n-1)
-			if got := quantile(append([]float64(nil), xs...), q); got != sorted[k] {
-				t.Fatalf("n=%d q=%g: quantile=%g, sort oracle=%g", n, q, got, sorted[k])
+			k := nearestRank(n, q)
+			if k < 0 || k >= n {
+				t.Fatalf("n=%d q=%g: rank %d out of range", n, q, k)
+			}
+			if float64(k+1) < q*float64(n) || (k > 0 && float64(k) >= q*float64(n)) {
+				t.Fatalf("n=%d q=%g: rank %d is not the nearest rank", n, q, k)
 			}
 		}
+	}
+	xs := []float64{5, 1, 4, 2, 3}
+	if got := quantile(xs, 0.5); got != 3 {
+		t.Fatalf("median of 1..5 = %g, want 3", got)
+	}
+	if !reflect.DeepEqual(xs, []float64{5, 1, 4, 2, 3}) {
+		t.Fatal("quantile reordered its input")
 	}
 	if !math.IsNaN(quantile(nil, 0.5)) {
 		t.Fatal("quantile of an empty slice should be NaN")
@@ -57,12 +54,16 @@ func TestBeyond(t *testing.T) {
 
 func TestScheduleIsSeeded(t *testing.T) {
 	for _, w := range workloads {
-		a := schedule(w, 7, 20, 15*time.Second)
-		b := schedule(w, 7, 20, 15*time.Second)
+		rates, err := w.rates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := schedule(rates, 7, 20, 15*time.Second)
+		b := schedule(rates, 7, 20, 15*time.Second)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: the same seed gave different schedules", w.name)
 		}
-		if c := schedule(w, 8, 20, 15*time.Second); reflect.DeepEqual(a, c) {
+		if c := schedule(rates, 8, 20, 15*time.Second); reflect.DeepEqual(a, c) {
 			t.Fatalf("%s: different seeds gave the same schedule", w.name)
 		}
 		var count [numOpKinds]int
@@ -75,7 +76,7 @@ func TestScheduleIsSeeded(t *testing.T) {
 				t.Fatalf("%s: arrival out of range: %+v", w.name, x)
 			}
 		}
-		for k, rate := range w.rates {
+		for k, rate := range rates {
 			want := rate * 15
 			if math.Abs(float64(count[k])-want) > 5*math.Sqrt(want)+1 {
 				t.Errorf("%s: %d %s arrivals, want about %.0f", w.name, count[k], opNames[k], want)
@@ -84,10 +85,58 @@ func TestScheduleIsSeeded(t *testing.T) {
 	}
 }
 
+func TestRatesKeepTheScenarioRatios(t *testing.T) {
+	for _, w := range workloads {
+		mix, err := w.mix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := w.rates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if min(r[opPlan], r[opRecommend]) != readFloor {
+			t.Errorf("%s: the rarer read kind runs at %g/s, want %g", w.name, min(r[opPlan], r[opRecommend]), readFloor)
+		}
+		if mix[opPlan] > 0 && mix[opRecommend] > 0 && math.Abs(r[opPlan]/r[opRecommend]-mix[opPlan]/mix[opRecommend]) > 1e-9 {
+			t.Errorf("%s: plan:recommendation %g, scenario phase %g", w.name, r[opPlan]/r[opRecommend], mix[opPlan]/mix[opRecommend])
+		}
+		if math.Abs(r[opFeedback]+r[opTrack]-writeRate) > 1e-9 {
+			t.Errorf("%s: writes at %g/s, want %g", w.name, r[opFeedback]+r[opTrack], writeRate)
+		}
+		if math.Abs(r[opFeedback]*mix[opTrack]-r[opTrack]*mix[opFeedback]) > 1e-9 {
+			t.Errorf("%s: feedback:fix %g:%g, scenario phase %g:%g", w.name, r[opFeedback], r[opTrack], mix[opFeedback], mix[opTrack])
+		}
+	}
+}
+
+func TestReactionFollowsTaste(t *testing.T) {
+	l := client.NewListener("u", map[string]float64{"news": 1}, 1)
+	liked := &content.Item{Categories: map[string]float64{"news": 1}}
+	disliked := &content.Item{Categories: map[string]float64{"sport": 1}}
+	var kinds [2]map[string]int
+	for i, it := range []*content.Item{liked, disliked} {
+		kinds[i] = map[string]int{}
+		for n := 0; n < 2000; n++ {
+			kinds[i][reaction(l, it, uniform(3, n))]++
+		}
+	}
+	if kinds[0]["skip"]+kinds[0]["dislike"] != 0 || kinds[0]["like"] < 700 || kinds[0]["like"] > 900 {
+		t.Errorf("reactions to a liked item: %v, want listens and about 40%% likes", kinds[0])
+	}
+	if kinds[1]["listen"]+kinds[1]["like"] != 0 || kinds[1]["dislike"] < 200 || kinds[1]["dislike"] > 400 {
+		t.Errorf("reactions to a mismatched item: %v, want skips and about 15%% dislikes", kinds[1])
+	}
+}
+
 func TestScheduleIsNotPeriodic(t *testing.T) {
 	// Poisson gaps: their spread is about their mean, where a periodic
 	// schedule's would be zero and phase-lock writers to the standby poll.
-	a := schedule(workloads[2], 3, 20, 60*time.Second)
+	rates, err := workloads[2].rates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := schedule(rates, 3, 20, 60*time.Second)
 	var gaps []float64
 	var last time.Duration
 	for _, x := range a {

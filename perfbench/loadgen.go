@@ -15,6 +15,7 @@ import (
 
 	"pphcr"
 	"pphcr/internal/client"
+	"pphcr/internal/content"
 	"pphcr/internal/feedback"
 	"pphcr/internal/httpapi"
 	"pphcr/internal/trajectory"
@@ -27,7 +28,8 @@ type benchClient struct {
 	hc      *http.Client
 	base    string
 	drivers []*driver
-	items   []string
+	items   []*content.Item
+	seed    int64
 	clock   func() time.Time
 	anchor  time.Time
 	rec     *recorder
@@ -55,7 +57,7 @@ func (t reqIDTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(r)
 }
 
-func newBenchClient(base string, seed int64, lanes int, drivers []*driver, items []string,
+func newBenchClient(base string, seed int64, lanes int, drivers []*driver, items []*content.Item,
 	clock func() time.Time, anchor time.Time, rec *recorder) *benchClient {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = lanes
@@ -63,21 +65,41 @@ func newBenchClient(base string, seed int64, lanes int, drivers []*driver, items
 	api := client.NewAPI(base, seed)
 	api.SetHTTPClient(hc)
 	return &benchClient{
-		api: api, hc: hc, base: base, drivers: drivers, items: items, clock: clock, anchor: anchor, rec: rec,
+		api: api, hc: hc, base: base, drivers: drivers, items: items, seed: seed, clock: clock, anchor: anchor, rec: rec,
 		trackMu: make([]sync.Mutex, len(drivers)),
 	}
 }
 
 func (c *benchClient) close() { c.hc.CloseIdleConnections() }
 
-// feedbackKinds is a listener's mix: mostly listens and likes, some
-// skips and dislikes. The items are drawn without regard to the
-// listener's taste, so a mix whose weights summed to zero or below would
-// random-walk preference vectors into all-negative ones, and such a
-// listener is recommended nothing.
-var feedbackKinds = []string{
-	"listen", "listen", "listen", "listen", "listen", "listen", "listen", "listen", "listen", "listen",
-	"listen", "listen", "like", "like", "like", "like", "skip", "skip", "skip", "dislike",
+// reaction is a listener's feedback on an item it was played, by the
+// behaviour model of internal/client's Listener.Play: a listener whose
+// true affinity for the item reaches its skip threshold listens through,
+// and likes it with probability LikeProbability·affinity; otherwise it
+// skips, and on a strong mismatch (affinity under 0.05) dislikes it too
+// with probability 0.15. u is a uniform draw in [0, 1).
+func reaction(l *client.Listener, it *content.Item, u float64) string {
+	aff := l.Affinity(it.Categories)
+	switch {
+	case aff >= l.SkipThreshold && u < l.LikeProbability*aff:
+		return "like"
+	case aff >= l.SkipThreshold:
+		return "listen"
+	case aff < 0.05 && u < 0.15:
+		return "dislike"
+	}
+	return "skip"
+}
+
+// uniform is a seeded draw in [0, 1) for the n-th operation of its kind
+// (a splitmix64 finalizer), so reactions do not depend on the order
+// concurrent workers take operations in.
+func uniform(seed int64, n int) float64 {
+	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(n)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }
 
 // do runs one operation and checks its output; a non-nil error is a
@@ -119,13 +141,15 @@ func (c *benchClient) do(ctx context.Context, a arrival) error {
 			return fmt.Errorf("recommendations for %s: empty list", d.user)
 		}
 	case opFeedback:
-		n := c.writes.Add(1)
+		// The listener was played an item of the window, drawn by the
+		// arrival's number, and reacts to it by taste.
+		it := c.items[uint64(a.n)*2654435761%uint64(len(c.items))]
 		b := httpapi.FeedbackBody{
 			UserID: d.user,
-			ItemID: c.items[uint64(n)*2654435761%uint64(len(c.items))],
-			Kind:   feedbackKinds[a.n%len(feedbackKinds)],
+			ItemID: it.ID,
+			Kind:   reaction(d.listener, it, uniform(c.seed, a.n)),
 			// A distinct second per write keeps the oracle's keys unique.
-			Unix: c.anchor.Unix() + n,
+			Unix: c.anchor.Unix() + c.writes.Add(1),
 		}
 		if _, err := c.api.Feedback(ctx, b); err != nil {
 			return err

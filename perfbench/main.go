@@ -119,6 +119,7 @@ type record struct {
 type bench struct {
 	o       options
 	w       workload
+	rates   [numOpKinds]float64
 	nproc   int
 	dur     time.Duration
 	rec     *recorder
@@ -126,6 +127,10 @@ type bench struct {
 	bc      *benchClient
 	drivers []*driver
 	out     record
+	// runDir holds the run's data directories; recoverySrc is the copy
+	// of the leader's directory taken when the open-loop phase ends.
+	runDir      string
+	recoverySrc string
 }
 
 // fail records a failed check; the first ten messages are kept.
@@ -155,18 +160,23 @@ func run(o options) (*result, error) {
 	if o.seconds < 1 {
 		return nil, errors.New("--seconds must be positive")
 	}
+	rates, err := w.rates()
+	if err != nil {
+		return nil, err
+	}
 	b := &bench{
-		o: o, w: w, nproc: runtime.NumCPU(), dur: time.Duration(o.seconds) * time.Second,
+		o: o, w: w, rates: rates, nproc: runtime.NumCPU(), dur: time.Duration(o.seconds) * time.Second,
 		rec: newRecorder(o.trace, o.stall),
 		out: record{
 			Env: stamp(), Workload: w.name, Seed: o.seed, Seconds: o.seconds, Trace: o.trace,
 			StallMs: float64(o.stall) / 1e6, Samples: map[string]int{}, Extra: metricSet{},
 		},
 	}
-	runDir := filepath.Join(o.outDir, "runs", fmt.Sprintf("%s-%d-%d", w.name, o.seed, os.Getpid()))
-	defer os.RemoveAll(runDir)
+	b.runDir = filepath.Join(o.outDir, "runs", fmt.Sprintf("%s-%d-%d", w.name, o.seed, os.Getpid()))
+	b.recoverySrc = filepath.Join(b.runDir, "recovery-src")
+	defer os.RemoveAll(b.runDir)
 
-	setupTimes, err := b.setUp(runDir)
+	setupTimes, err := b.setUp()
 	if err != nil {
 		return nil, err
 	}
@@ -182,8 +192,16 @@ func run(o options) (*result, error) {
 	stopFeed := b.startFeed()
 	ol := b.openLoop()
 	stopFeed()
+	// sync=always made every write so far durable: this copy is the
+	// directory a crash at the end of the open-loop phase would leave,
+	// so recovery_s replays the seeded schedule's log, not the capacity
+	// phase's, whose length depends on the host's speed.
+	if err := copyDir(b.c.leaderDir, b.recoverySrc); err != nil {
+		return nil, fmt.Errorf("copying the leader's directory: %w", err)
+	}
 	capStart := b.rec.now()
-	capRes := b.bc.closedLoop(schedule(w, o.seed+1, len(b.drivers), b.dur), b.nproc, capacityPhase)
+	// nproc closed-loop clients in all, split between the two lanes.
+	capRes := b.bc.closedLoop(schedule(rates, o.seed+1, len(b.drivers), b.dur), max(1, b.nproc/2), capacityPhase)
 	b.count(capRes)
 	capacity, capWindows := capacityRate(capRes, capStart, capacityPhase)
 	for i, v := range capWindows {
@@ -220,12 +238,12 @@ func run(o options) (*result, error) {
 
 // setUp builds the deployment setupRuns times from scratch and keeps
 // the last one; it returns each set-up's duration.
-func (b *bench) setUp(runDir string) ([]float64, error) {
+func (b *bench) setUp() ([]float64, error) {
 	var times []float64
 	for i := 0; i < setupRuns; i++ {
 		runtime.GC() // each set-up starts from the same collected heap
 		start := time.Now()
-		c, err := buildCluster(b.w.spec, b.o.seed, filepath.Join(runDir, fmt.Sprint("setup", i)), b.rec)
+		c, err := buildCluster(b.w.spec, b.o.seed, filepath.Join(b.runDir, fmt.Sprint("setup", i)), b.rec)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
@@ -254,14 +272,11 @@ func (b *bench) prepare() error {
 		return err
 	}
 	b.out.Samples["drivers"] = len(b.drivers)
-	var items []string
-	for _, it := range b.c.leader.Candidates(b.c.clock()) {
-		items = append(items, it.ID)
-	}
+	items := b.c.leader.Candidates(b.c.clock())
 	if len(items) == 0 {
 		return errors.New("empty candidate window at the world clock")
 	}
-	sort.Strings(items)
+	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
 	b.bc = newBenchClient(b.c.routerSrv.URL, b.o.seed, 2*b.nproc, b.drivers, items, b.c.clock, anchor, b.rec)
 	return nil
 }
@@ -316,6 +331,13 @@ type openLoopRun struct {
 	k0, kMid, k1 counters
 }
 
+// checkpointAt is where in the open-loop phase the leader takes its
+// periodic checkpoint. The server's checkpointer ticks once a minute,
+// after the first full interval, so left to itself it would never fire
+// in a phase this short; the benchmark takes the tick it would take in
+// a longer run, inside the traced half.
+const checkpointAt = 0.75
+
 // openLoop sends the workload's schedule. A traced run records spans
 // over the phase's second half only, so the first half measures the
 // same traffic untraced.
@@ -332,11 +354,24 @@ func (b *bench) openLoop() openLoopRun {
 			b.rec.on.Store(true)
 		}()
 	}
-	ol.results = b.bc.openLoop(schedule(b.w, b.o.seed, len(b.drivers), b.dur), b.nproc, ol.start)
-	b.rec.on.Store(false)
+	var ckErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(time.Until(ol.start.Add(time.Duration(checkpointAt * float64(b.dur)))))
+		start := time.Now()
+		ckErr = b.c.checkpoint.Poll()
+		b.out.Extra.set("checkpoint_s", "s", time.Since(start).Seconds())
+	}()
+	ol.results = b.bc.openLoop(schedule(b.rates, b.o.seed, len(b.drivers), b.dur), b.nproc, ol.start)
 	wg.Wait()
+	b.rec.on.Store(false)
 	ol.k1 = readCounters(b.c, b.bc)
 	b.count(ol.results)
+	b.out.Attempted++
+	if ckErr != nil {
+		b.fail(1, fmt.Sprintf("checkpoint: %v", ckErr))
+	}
 	return ol
 }
 
@@ -363,11 +398,11 @@ func (b *bench) measureTraps(capRes []opResult) {
 	b.out.Extra.set("trap.closed_loop_write_p50_ms", "ms", quantile(closed, 0.5))
 }
 
-// crashAndRecover crash-kills the leader, checks every acknowledged
-// write is on the standby, then reopens the leader's directory on a
-// fresh System recoveryRuns times, checking the first recovery holds
-// every acknowledged write too. It returns each recovery's duration and
-// the WAL events the last one replayed.
+// crashAndRecover crash-kills the leader and checks every acknowledged
+// write is on the standby and on the crashed directory reopened on a
+// fresh System. It then times recoveryRuns recoveries, each reopening a
+// fresh copy of the directory as the open-loop phase left it, and
+// returns their durations and the WAL events the last one replayed.
 func (b *bench) crashAndRecover() (times []float64, replayed int, err error) {
 	b.c.crashLeader()
 	acked := b.bc.acked.count()
@@ -375,29 +410,30 @@ func (b *bench) crashAndRecover() (times []float64, replayed int, err error) {
 	if n := b.bc.acked.missingOn(b.c.follower); n > 0 {
 		b.fail(n, fmt.Sprintf("%d of %d acked writes missing on the standby", n, acked))
 	}
-	b.rec.on.Store(b.o.trace) // the spans file keeps the OpenDurability calls
+	sys, d, _, err := b.recover(b.c.leaderDir)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n := b.bc.acked.missingOn(sys); n > 0 {
+		b.fail(n, fmt.Sprintf("%d of %d acked writes missing on the recovered leader", n, acked))
+	}
+	d.Crash()
+
+	b.rec.on.Store(b.o.trace) // the spans file keeps the timed OpenDurability calls
 	defer b.rec.on.Store(false)
 	for i := 0; i < recoveryRuns; i++ {
-		sys, err := pphcr.New(b.c.cfg)
+		dir := filepath.Join(b.runDir, fmt.Sprint("recovery", i))
+		if err := copyDir(b.recoverySrc, dir); err != nil {
+			return nil, 0, err
+		}
+		_, d, took, err := b.recover(dir)
 		if err != nil {
 			return nil, 0, err
 		}
-		runtime.GC()
-		start := time.Now()
-		end := b.rec.span(spanOpenDur, 0, "", "")
-		d, err := pphcr.OpenDurability(sys, leaderDurability(b.c.leaderDir))
-		end(0)
-		if err != nil {
-			return nil, 0, fmt.Errorf("recovery: %w", err)
-		}
-		times = append(times, time.Since(start).Seconds())
+		times = append(times, took.Seconds())
 		replayed = d.ReplayedEvents()
-		if i == 0 {
-			if n := b.bc.acked.missingOn(sys); n > 0 {
-				b.fail(n, fmt.Sprintf("%d of %d acked writes missing on the recovered leader", n, acked))
-			}
-		}
 		d.Crash()
+		os.RemoveAll(dir)
 	}
 	for i, v := range times {
 		b.out.Extra.set(fmt.Sprintf("recovery%d_s", i), "s", v)
@@ -405,8 +441,53 @@ func (b *bench) crashAndRecover() (times []float64, replayed int, err error) {
 	return times, replayed, nil
 }
 
+// recover reopens a leader directory on a fresh System, as a restarted
+// pphcr-server would, and returns how long OpenDurability took. The
+// System is built and the heap collected before the clock starts.
+func (b *bench) recover(dir string) (*pphcr.System, *pphcr.Durability, time.Duration, error) {
+	sys, err := pphcr.New(b.c.cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	runtime.GC()
+	start := time.Now()
+	end := b.rec.span(spanOpenDur, 0, "", "")
+	d, err := pphcr.OpenDurability(sys, leaderDurability(dir))
+	end(0)
+	took := time.Since(start)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("recovery: %w", err)
+	}
+	return sys, d, took, nil
+}
+
+// copyDir copies the regular files under src to dst.
+func copyDir(src, dst string) error {
+	return filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if e.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		if !e.Type().IsRegular() {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, b, 0o644)
+	})
+}
+
 // endToEnd computes the end-to-end metrics from the open-loop phase.
-// Read percentiles are the median over the phase's 3 s windows of each
+// Read percentiles are the median over the phase's windowSeconds windows of each
 // window's percentile, so one stalled window does not set the figure;
 // writes are too few for windows.
 func (b *bench) endToEnd(ol openLoopRun, setupTimes, recoveries []float64) metricSet {
@@ -431,7 +512,7 @@ func (b *bench) endToEnd(ol openLoopRun, setupTimes, recoveries []float64) metri
 		}
 		m.set(fmt.Sprintf("%s_p%g_ms", name, q*100), "ms", v)
 	}
-	windows := max(1, b.o.seconds/3)
+	windows := max(1, b.o.seconds/windowSeconds)
 	for _, name := range []string{"plan", "recommend"} {
 		pct(name, reads[name], 0.5, windows)
 		pct(name, reads[name], 0.9, windows)

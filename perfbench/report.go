@@ -47,8 +47,8 @@ func layerMetrics(m, extra metricSet, rec *recorder, results []opResult, kMid, k
 			untraced[1]++
 		}
 	}
-	m.set("loadgen.start_late_p50_ms", "ms", quantile(append([]float64(nil), lates...), 0.5))
-	m.set("loadgen.start_late_p99_ms", "ms", quantile(append([]float64(nil), lates...), 0.99))
+	m.set("loadgen.start_late_p50_ms", "ms", quantile(lates, 0.5))
+	m.set("loadgen.start_late_p99_ms", "ms", quantile(lates, 0.99))
 	m.set("loadgen.achieved_rps", "1/s", float64(len(lates))/dur.Seconds())
 	m.set("trace.overhead_share", "ratio", ratio(traced[0], traced[1])/ratio(untraced[0], untraced[1])-1)
 
@@ -62,8 +62,8 @@ func layerMetrics(m, extra metricSet, rec *recorder, results []opResult, kMid, k
 
 	m.set("client.self_us_per_op", "us", us(all.per(all.client)))
 	m.set("router.self_us_per_op", "us", us(all.per(all.router)))
-	m.set("router.ack_wait_p50_ms", "ms", ms(quantile(append([]float64(nil), a.ackWaits...), 0.5)))
-	m.set("router.ack_wait_p95_ms", "ms", ms(quantile(append([]float64(nil), a.ackWaits...), 0.95)))
+	m.set("router.ack_wait_p50_ms", "ms", ms(quantile(a.ackWaits, 0.5)))
+	m.set("router.ack_wait_p95_ms", "ms", ms(quantile(a.ackWaits, 0.95)))
 	m.set("router.ack_wait_share", "ratio", ratio(write.ackWait, write.e2e))
 	non2xx := 0
 	var repl, files int

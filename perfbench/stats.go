@@ -8,59 +8,26 @@ import (
 )
 
 // quantile returns the nearest-rank q-quantile of xs: the smallest value
-// with at least q·n values at or below it. It selects in place
-// (reordering xs) in expected linear time. NaN for an empty slice.
+// with at least q·n values at or below it. NaN for an empty slice.
 func quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return math.NaN()
 	}
-	k := int(math.Ceil(q*float64(n))) - 1
-	k = min(max(k, 0), n-1)
-	lo, hi := 0, n-1
-	for lo < hi {
-		// Median-of-three pivot keeps sorted and reversed inputs linear.
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
-		}
-	}
-	return xs[k]
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	return c[nearestRank(len(c), q)]
+}
+
+// nearestRank is the index of the nearest-rank q-quantile in n sorted
+// values.
+func nearestRank(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
 }
 
 // beyond is how many of n samples lie above the nearest-rank q-quantile.
 // A percentile is reported only when at least minBeyond do.
 func beyond(n int, q float64) int {
-	return n - int(math.Ceil(q*float64(n)))
+	return n - 1 - nearestRank(n, q)
 }
 
 const minBeyond = 10

@@ -6,8 +6,10 @@ import (
 	"sort"
 	"time"
 
+	"pphcr/internal/client"
 	"pphcr/internal/content"
 	"pphcr/internal/httpapi"
+	"pphcr/internal/scenario"
 	"pphcr/internal/synth"
 	"pphcr/internal/trajectory"
 )
@@ -69,44 +71,105 @@ func (k opKind) isWrite() bool { return k == opFeedback || k == opTrack }
 type workload struct {
 	name string
 	spec worldSpec
-	// rates are the open-loop Poisson arrival rates per operation, 1/s.
-	rates [numOpKinds]float64
+	// script and phase name the scenario engine's phase
+	// (internal/scenario) whose operation mix the workload's shares come
+	// from.
+	script, phase string
+	// fixesOnly drops the phase's feedback, so the only writes are GPS
+	// fixes, which leave warm plans warm.
+	fixesOnly bool
 	// ingestEvery, when non-zero, is the broadcaster's publish period.
 	ingestEvery time.Duration
 }
 
-// Every workload carries every operation type, so every end-to-end
-// metric is measured on every workload; the rates set which layers
-// dominate. Reads run at 80/s per kind (50/s on the catalog, whose
-// reads cost more), which keeps the read lane's nproc connections busy
-// about a sixth of the time; each 3 s window of the open-loop phase
-// holds at least 150 of a kind, enough for a p90 with ten beyond it.
-// Writes run at 12/s: each holds one of its lane's nproc connections
-// until the standby's next 50 ms poll, so faster writes would queue
-// behind each other. A 20 s phase holds about 240 of them.
+// Every workload carries every operation type the end-to-end metrics
+// need. Reads and writes run on separate client lanes and are scaled
+// separately, each keeping its phase's ratio:
+//   - plans and recommendations keep the phase's plan:recommendation
+//     ratio, scaled so the rarer of the two arrives at readFloor. Each
+//     5 s window then expects 150 of it, where a p90 with ten samples
+//     beyond it needs 100. A read kind the phase lacks runs at readFloor.
+//   - feedback and fixes keep the phase's ratio at writeRate in all.
+//     Each write holds one of its lane's nproc connections until the
+//     standby's next 50 ms poll, about 30 ms, so faster writes would
+//     queue behind each other. A 20 s phase holds about 240 writes.
+const (
+	readFloor     = 30.0
+	writeRate     = 12.0
+	windowSeconds = 5
+)
+
 var workloads = []workload{
 	{
-		name: "commute-warm",
-		spec: worldSpec{podcastsPerDay: 100},
-		rates: [numOpKinds]float64{
-			opPlan: 80, opRecommend: 80, opTrack: 12,
-		},
+		// Rush hour at its peak, minus its feedback: the proactive
+		// promise is warm plans served to drivers who wrote nothing but
+		// their position.
+		name: "commute-warm", spec: worldSpec{podcastsPerDay: 100},
+		script: "rush-hour", phase: "peak", fixesOnly: true,
 	},
 	{
-		name: "catalog-browse",
-		spec: worldSpec{podcastsPerDay: 1000},
-		rates: [numOpKinds]float64{
-			opPlan: 50, opRecommend: 50, opTrack: 12,
-		},
+		// Off-peak browsing: recommendations outnumber plans, and
+		// feedback outnumbers fixes.
+		name: "catalog-browse", spec: worldSpec{podcastsPerDay: 1000},
+		script: "rush-hour", phase: "calm",
 		ingestEvery: 2 * time.Second,
 	},
 	{
-		name: "listen-feedback",
-		spec: worldSpec{podcastsPerDay: 100},
-		rates: [numOpKinds]float64{
-			opPlan: 80, opRecommend: 80, opFeedback: 9, opTrack: 3,
-		},
+		// Every operation that lands in the WAL, as the degraded-disk
+		// scenario's healthy phase sends them; it sends no
+		// recommendations, so they run at readFloor.
+		name: "listen-feedback", spec: worldSpec{podcastsPerDay: 100},
+		script: "degraded-disk", phase: "healthy",
 	},
+}
+
+// mix returns the scenario phase's weights for the operations the
+// benchmark sends.
+func (w workload) mix() ([numOpKinds]float64, error) {
+	var out [numOpKinds]float64
+	script, ok := scenario.ByName(w.script)
+	if !ok {
+		return out, fmt.Errorf("%s: no scenario %q", w.name, w.script)
+	}
+	for _, p := range script.Phases {
+		if p.Name == w.phase {
+			out[opPlan] = p.Mix[scenario.OpPlan]
+			out[opRecommend] = p.Mix[scenario.OpRecommend]
+			out[opFeedback] = p.Mix[scenario.OpFeedback]
+			out[opTrack] = p.Mix[scenario.OpFix]
+			if w.fixesOnly {
+				out[opFeedback] = 0
+			}
+			return out, nil
+		}
+	}
+	return out, fmt.Errorf("%s: scenario %q has no phase %q", w.name, w.script, w.phase)
+}
+
+// rates returns the open-loop Poisson arrival rate of each operation,
+// 1/s: the phase's mix scaled as the comment on readFloor says.
+func (w workload) rates() ([numOpKinds]float64, error) {
+	mix, err := w.mix()
+	if err != nil {
+		return mix, err
+	}
+	var r [numOpKinds]float64
+	plan, rec := mix[opPlan], mix[opRecommend]
+	switch {
+	case plan == 0 || rec == 0:
+		r[opPlan], r[opRecommend] = readFloor, readFloor
+	case plan < rec:
+		r[opPlan], r[opRecommend] = readFloor, readFloor*rec/plan
+	default:
+		r[opPlan], r[opRecommend] = readFloor*plan/rec, readFloor
+	}
+	writes := mix[opFeedback] + mix[opTrack]
+	if writes == 0 {
+		return r, fmt.Errorf("%s: phase %q sends no writes", w.name, w.phase)
+	}
+	r[opFeedback] = writeRate * mix[opFeedback] / writes
+	r[opTrack] = writeRate * mix[opTrack] / writes
+	return r, nil
 }
 
 func workloadByName(name string) (workload, error) {
@@ -131,11 +194,11 @@ type arrival struct {
 // schedule draws the open-loop arrivals for dur: one Poisson process
 // per operation kind, merged in time order. The same seed gives the
 // same schedule.
-func schedule(w workload, seed int64, drivers int, dur time.Duration) []arrival {
+func schedule(rates [numOpKinds]float64, seed int64, drivers int, dur time.Duration) []arrival {
 	rng := rand.New(rand.NewSource(seed*7919 + 17))
 	var out []arrival
 	for k := opKind(0); k < numOpKinds; k++ {
-		rate := w.rates[k]
+		rate := rates[k]
 		if rate <= 0 {
 			continue
 		}
@@ -162,8 +225,9 @@ func schedule(w workload, seed int64, drivers int, dur time.Duration) []arrival 
 // driver is one commuter's client-side state: the partial trace of this
 // morning's commute that its plan requests carry.
 type driver struct {
-	user    string
-	partial []httpapi.TrackBody
+	user     string
+	listener *client.Listener // the persona's hidden taste, for its feedback
+	partial  []httpapi.TrackBody
 	// lastFix is where the live GPS stream continues from; trackSeq
 	// counts the fixes posted since.
 	lastFix  trajectory.Fix
@@ -181,7 +245,7 @@ func prepareDrivers(w *synth.World, anchor time.Time) ([]*driver, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &driver{user: p.Profile.UserID}
+		d := &driver{user: p.Profile.UserID, listener: client.NewListener(p.Profile.UserID, p.TrueInterests, p.Seed)}
 		for _, fix := range full {
 			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
 				break
