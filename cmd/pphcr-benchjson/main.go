@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -127,12 +128,9 @@ var gatedHighlights = map[string]bool{ // name -> lowerIsBetter
 	"replication_lag_ms": true,
 }
 
-// gate compares this run's highlights against the baseline document and
-// returns one line per tier-1 highlight that regressed beyond factor.
-// Highlights missing from either side are skipped (a new benchmark has
-// no baseline; a retired one has no current value).
-func gate(baselinePath string, cur map[string]float64, factor float64) ([]string, error) {
-	raw, err := os.ReadFile(baselinePath)
+// loadHighlights reads a previous record's highlights.
+func loadHighlights(path string) (map[string]float64, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading baseline: %w", err)
 	}
@@ -140,6 +138,17 @@ func gate(baselinePath string, cur map[string]float64, factor float64) ([]string
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return nil, fmt.Errorf("parsing baseline: %w", err)
 	}
+	return base.Highlights, nil
+}
+
+// gate compares this run's highlights against the baseline's and
+// returns one line per tier-1 highlight that regressed beyond factor.
+// Highlights missing from either side are skipped (a new benchmark has
+// no baseline; a retired one has no current value), and so is a
+// baseline of zero or less, which no factor can scale. A
+// higher-is-better highlight that collapsed to zero or less against a
+// positive baseline is a regression.
+func gate(base, cur map[string]float64, factor float64) []string {
 	var failures []string
 	names := make([]string, 0, len(gatedHighlights))
 	for name := range gatedHighlights {
@@ -147,20 +156,85 @@ func gate(baselinePath string, cur map[string]float64, factor float64) ([]string
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		b, okB := base.Highlights[name]
+		b, okB := base[name]
 		c, okC := cur[name]
-		if !okB || !okC || b <= 0 || c <= 0 {
+		if !okB || !okC || b <= 0 {
 			continue
 		}
-		if gatedHighlights[name] {
+		switch {
+		case gatedHighlights[name]:
 			if c > b*factor {
 				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns (%.2fx worse, gate %.2fx)", name, b, c, c/b, factor))
 			}
-		} else if c < b/factor {
+		case c <= 0:
+			failures = append(failures, fmt.Sprintf("%s: %.2f -> %.2f (collapsed, gate %.2fx)", name, b, c, factor))
+		case c < b/factor:
 			failures = append(failures, fmt.Sprintf("%s: %.2f -> %.2f (%.2fx worse, gate %.2fx)", name, b, c, b/c, factor))
 		}
 	}
-	return failures, nil
+	return failures
+}
+
+// parseBench reads `go test -bench` output into out: every result line
+// into Benchmarks (the last run of a repeated benchmark wins) and the
+// headline numbers into Highlights.
+func parseBench(r io.Reader, out *Output) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	pkg := ""
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "pkg: ") {
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg: "))
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		iters, _ := strconv.ParseInt(m[2], 10, 64)
+		ns, _ := strconv.ParseFloat(m[3], 64)
+		b := Benchmark{Pkg: pkg, Name: m[1], Iters: iters, NsPerOp: ns}
+		if bm := bytesPerOp.FindStringSubmatch(m[4]); bm != nil {
+			b.BPerOp, _ = strconv.ParseFloat(bm[1], 64)
+		}
+		if am := allocsOp.FindStringSubmatch(m[4]); am != nil {
+			b.AllocsOp, _ = strconv.ParseFloat(am[1], 64)
+		}
+		if pm := p99Metric.FindStringSubmatch(m[4]); pm != nil {
+			b.P99NsPerOp, _ = strconv.ParseFloat(pm[1], 64)
+		}
+		rm := recMetric.FindStringSubmatch(m[4])
+		if rm != nil {
+			b.RecallAtK, _ = strconv.ParseFloat(rm[1], 64)
+		}
+		// Keep-last dedupe: a stabilization pass re-running headline
+		// benchmarks at a longer benchtime can be concatenated after the
+		// 1x sweep and its (better-sampled) numbers win.
+		replaced := false
+		for i := range out.Benchmarks {
+			if out.Benchmarks[i].Pkg == b.Pkg && out.Benchmarks[i].Name == b.Name {
+				out.Benchmarks[i] = b
+				replaced = true
+				break
+			}
+		}
+		if !replaced {
+			out.Benchmarks = append(out.Benchmarks, b)
+		}
+		if key, ok := highlightNames[b.Name]; ok {
+			out.Highlights[key] = b.NsPerOp
+		}
+		if key, ok := p99HighlightNames[b.Name]; ok && b.P99NsPerOp > 0 {
+			out.Highlights[key] = b.P99NsPerOp
+		}
+		// A reported recall of 0 is kept: it is the collapse the gate
+		// must see, not a missing metric.
+		if b.Name == "BenchmarkCandidateANN" && rm != nil {
+			out.Highlights["ann_recall_at_k"] = b.RecallAtK
+		}
+	}
+	return sc.Err()
 }
 
 func main() {
@@ -189,59 +263,7 @@ func main() {
 			out.Highlights[k] = v
 		}
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	pkg := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "pkg: ") {
-			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg: "))
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		b := Benchmark{Pkg: pkg, Name: m[1], Iters: iters, NsPerOp: ns}
-		if bm := bytesPerOp.FindStringSubmatch(m[4]); bm != nil {
-			b.BPerOp, _ = strconv.ParseFloat(bm[1], 64)
-		}
-		if am := allocsOp.FindStringSubmatch(m[4]); am != nil {
-			b.AllocsOp, _ = strconv.ParseFloat(am[1], 64)
-		}
-		if pm := p99Metric.FindStringSubmatch(m[4]); pm != nil {
-			b.P99NsPerOp, _ = strconv.ParseFloat(pm[1], 64)
-		}
-		if rm := recMetric.FindStringSubmatch(m[4]); rm != nil {
-			b.RecallAtK, _ = strconv.ParseFloat(rm[1], 64)
-		}
-		// Keep-last dedupe: a stabilization pass re-running headline
-		// benchmarks at a longer benchtime can be concatenated after the
-		// 1x sweep and its (better-sampled) numbers win.
-		replaced := false
-		for i := range out.Benchmarks {
-			if out.Benchmarks[i].Pkg == b.Pkg && out.Benchmarks[i].Name == b.Name {
-				out.Benchmarks[i] = b
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			out.Benchmarks = append(out.Benchmarks, b)
-		}
-		if key, ok := highlightNames[b.Name]; ok {
-			out.Highlights[key] = b.NsPerOp
-		}
-		if key, ok := p99HighlightNames[b.Name]; ok && b.P99NsPerOp > 0 {
-			out.Highlights[key] = b.P99NsPerOp
-		}
-		if b.Name == "BenchmarkCandidateANN" && b.RecallAtK > 0 {
-			out.Highlights["ann_recall_at_k"] = b.RecallAtK
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err := parseBench(os.Stdin, &out); err != nil {
 		fmt.Fprintf(os.Stderr, "pphcr-benchjson: %v\n", err)
 		os.Exit(1)
 	}
@@ -289,11 +311,12 @@ func main() {
 		os.Exit(1)
 	}
 	if *baseline != "" && *gateOn {
-		failures, err := gate(*baseline, out.Highlights, *gateFactor)
+		base, err := loadHighlights(*baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pphcr-benchjson: %v\n", err)
 			os.Exit(1)
 		}
+		failures := gate(base, out.Highlights, *gateFactor)
 		if len(failures) > 0 {
 			fmt.Fprintf(os.Stderr, "pphcr-benchjson: %d tier-1 highlight(s) regressed vs %s:\n", len(failures), *baseline)
 			for _, f := range failures {

@@ -21,26 +21,24 @@ type killNodeReport struct {
 	Checks     []string                 `json:"checks"`
 }
 
-// runKillNode is the -scenario kill-node entry point: an in-process
-// two-node cluster (leader + warm standby behind the Router), a write
-// storm through the front door, a crash-kill of the leader mid-storm,
-// and the zero-lost-acked-writes oracle. Unlike the catalog scenarios
-// it does not use the phase engine — its SLO is the invariant itself
-// plus a failover-time bound.
-func runKillNode(seed int64, users, writers int, durScale float64, gate bool, reportPath string) {
-	if users <= 0 {
-		users = 16
-	}
-	if writers <= 0 {
-		writers = 4
-	}
-	duration := time.Duration(float64(6*time.Second) * durScale)
+// runKillNode is the -scenario kill-node entry point: a write storm
+// through a replicated cluster's router, a kill of the leader
+// mid-storm, and the zero-lost-acked-writes oracle. Without -router it
+// builds an in-process two-node cluster (leader + warm standby behind
+// the Router) and crash-kills the leader itself; with -router it
+// storms that external cluster, whose leader the caller kills (CI
+// SIGKILLs the process). Unlike the catalog scenarios it does not use
+// the phase engine — its SLO is the invariant itself plus a
+// failover-time bound, the same checks in both modes.
+func runKillNode(seed int64, users, writers int, durScale float64, routerURL, followerURL string, gate bool, reportPath string) {
 	rep, err := scenario.RunKillNode(scenario.KillNodeOptions{
-		Seed:     seed,
-		Users:    users,
-		Writers:  writers,
-		Duration: duration,
-		Logf:     log.Printf,
+		Seed:        seed,
+		Users:       users,
+		Writers:     writers,
+		Duration:    time.Duration(float64(6*time.Second) * durScale),
+		RouterURL:   routerURL,
+		FollowerURL: followerURL,
+		Logf:        log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

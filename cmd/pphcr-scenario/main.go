@@ -9,6 +9,8 @@
 //
 //	pphcr-scenario -scenario city-day -users 100000 -slo 'plan_p99=250ms,error_rate=0.01,recovery=10s,readyz_stable' -gate
 //	pphcr-scenario -list
+//	pphcr-scenario -scenario kill-node -gate
+//	pphcr-scenario -scenario kill-node -router http://127.0.0.1:8000 -follower http://127.0.0.1:8081 -gate
 //
 // CI runs a scaled-down pass (-scale / -duration-scale) with -gate: a
 // breached SLO fails the build — the repo's first tail-latency gate.
@@ -61,6 +63,8 @@ func main() {
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always, interval, none — or 'off' to run without durability")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /stats and /readyz here while the scenario runs")
 		slowRankUS  = flag.Int("inject-slow-rank", 0, "inject this many microseconds of stall into the Rank stage (SLO-gate self-test)")
+		routerURL   = flag.String("router", "", "kill-node: storm this external cluster's router instead of building one in-process")
+		followerURL = flag.String("follower", "", "kill-node with -router: the standby's base URL, polled for replication lag")
 	)
 	flag.Parse()
 
@@ -71,15 +75,26 @@ func main() {
 				s.Name, s.Description, s.Users, s.Drivers, s.TotalDuration())
 		}
 		fmt.Printf("%-14s %s\n", "kill-node",
-			"two-node replicated cluster, leader crash-killed mid-storm, zero-lost-acked-writes oracle")
+			"two-node replicated cluster (in-process, or -router's), leader killed mid-storm, zero-lost-acked-writes oracle")
 		return
 	}
 
-	// kill-node is not a catalog scenario: it builds its own two-node
-	// replicated cluster instead of driving one System through the phase
-	// engine, and its SLO is the zero-lost-acked-writes invariant.
+	// Deployment addresses that would be silently dropped are usage
+	// errors: -follower only names the standby of -router's cluster, and
+	// only kill-node storms an external cluster.
+	switch {
+	case *followerURL != "" && *routerURL == "":
+		usageError("-follower needs -router")
+	case *routerURL != "" && *name != "kill-node":
+		usageError("-router applies only to -scenario kill-node")
+	}
+
+	// kill-node is not a catalog scenario: it storms a two-node
+	// replicated cluster (its own, or -router's) instead of driving one
+	// System through the phase engine, and its SLO is the
+	// zero-lost-acked-writes invariant.
 	if *name == "kill-node" {
-		runKillNode(*seed, *users, *workers, *durScale, *gate, *reportPath)
+		runKillNode(*seed, *users, *workers, *durScale, *routerURL, *followerURL, *gate, *reportPath)
 		return
 	}
 
@@ -205,4 +220,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scenario: SLO gate FAILED")
 		os.Exit(1)
 	}
+}
+
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "pphcr-scenario: "+msg)
+	flag.Usage()
+	os.Exit(2)
 }

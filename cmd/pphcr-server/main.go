@@ -329,50 +329,24 @@ func main() {
 		}
 	}
 
-	// Live tracking sent to /api/track is periodically compacted by the
-	// background worker, as in the paper's deployment. A follower runs no
-	// compactors: every mutation must come off the leader's WAL, or the
-	// replica forks. Promotion starts them.
-	stop := make(chan struct{})
-	if !isFollower {
-		compactor, err := service.NewCompactor(sys)
-		if err != nil {
-			fatal("compactor", err)
-		}
-		go compactor.Run(stop)
-	}
-
-	// The synthetic world lives in the past; anchor the warmer's clock to
-	// it so plan warming targets instants that actually have candidates.
+	// The synthetic world lives in the past; anchor the warmer's and the
+	// feedback compactor's clock to it so they target instants that
+	// actually have candidates.
 	worldEnd := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
 	bootReal := time.Now()
 	worldClock := func() time.Time { return worldEnd.Add(time.Since(bootReal)) }
 
-	// Live feedback sent to /api/feedback is periodically folded into the
-	// per-user baseline so the log stays bounded, mirroring the tracking
-	// compactor above (preference reads come from the incremental index
-	// and are unaffected).
-	if *fbEvery > 0 && !isFollower {
-		fbc, err := service.NewFeedbackCompactor(sys)
-		if err != nil {
-			fatal("feedback compactor", err)
-		}
-		fbc.EventsPerCompaction = *fbEvery
-		fbc.Horizon = *fbHorizon
-		fbc.Now = worldClock
-		go fbc.Run(stop)
+	// A leader runs the compactors and the checkpointer from boot. A
+	// follower runs none: every mutation must come off the leader's WAL,
+	// or the replica forks. Promotion starts them.
+	stop := make(chan struct{})
+	leaderServices := func(dur *pphcr.Durability) error {
+		return startLeaderServices(sys, dur, stop, *ckInterval, *fbEvery, *fbHorizon, worldClock)
 	}
-
-	// The checkpointer runs beside the compactors and the warmer,
-	// bounding crash recovery to one interval of WAL replay.
-	var checkpointer *service.Checkpointer
-	if dur != nil {
-		checkpointer, err = service.NewCheckpointer(dur)
-		if err != nil {
-			fatal("checkpointer", err)
+	if !isFollower {
+		if err := leaderServices(dur); err != nil {
+			fatal("background services", err)
 		}
-		checkpointer.Interval = *ckInterval
-		go checkpointer.Run(stop)
 	}
 
 	var warmer *service.Warmer
@@ -396,19 +370,20 @@ func main() {
 		api.SetWarmerStats(func() interface{} { return warmer.Stats() })
 	}
 
-	// Replication wiring: a leader with a data directory serves its WAL
-	// to followers and accepts rebalance replays; a follower tails its
-	// leader and serves the ack-barrier wait plus the promote endpoint.
-	var replRT *replicationRuntime
+	// A follower tails its leader and serves the ack-barrier wait plus
+	// the promote endpoint; a leader with a data directory serves its
+	// WAL to followers (mounted below).
+	var follower *replicate.Follower
 	if isFollower {
-		replRT = &replicationRuntime{
-			sys: sys, api: api, dataDir: *dataDir, sync: policy, stop: stop,
-			ckInterval: *ckInterval, fbEvery: *fbEvery, fbHorizon: *fbHorizon,
-			clock: worldClock,
-		}
-		if err := replRT.startFollower(*leaderURL); err != nil {
+		standby, err := replicate.NewStandby(sys, *dataDir, *leaderURL, "/replication")
+		if err != nil {
 			fatal("standby", err)
 		}
+		follower = replicate.StartFollower(standby, api, policy, func(dur *pphcr.Durability) {
+			if err := leaderServices(dur); err != nil {
+				slog.Error("post-promotion services", "err", err)
+			}
+		})
 		slog.Info("tailing leader WAL", "leader", *leaderURL, "dir", *dataDir)
 	}
 
@@ -426,8 +401,8 @@ func main() {
 	mux.Handle("/debug/traces", api.Handler())
 	mux.Handle("/stats", api.Handler())
 	mux.Handle("/dashboard/", dashboard.NewServer(sys).Handler())
-	if isFollower {
-		replRT.mountFollowerReplication(mux)
+	if follower != nil {
+		follower.Mount(mux)
 	} else if dur != nil {
 		mountLeaderReplication(mux, sys, dur, *dataDir)
 	}
@@ -478,11 +453,43 @@ func main() {
 	// acknowledged mutation is in the snapshot and the next boot
 	// replays nothing.
 	finalCheckpoint(dur)
-	if replRT != nil {
-		replRT.shutdownFollower()
-		finalCheckpoint(replRT.promotedDurability())
+	if follower != nil {
+		follower.Stop()
+		finalCheckpoint(follower.Durability())
 	}
 	slog.Info("bye")
+}
+
+// startLeaderServices runs a leader's background writers until stop
+// closes: the tracking and feedback compactors fold live /api/track and
+// /api/feedback history, and the checkpointer (when dur is set) bounds
+// crash recovery to one interval of WAL replay.
+func startLeaderServices(sys *pphcr.System, dur *pphcr.Durability, stop <-chan struct{},
+	ckInterval time.Duration, fbEvery int, fbHorizon time.Duration, clock func() time.Time) error {
+	compactor, err := service.NewCompactor(sys)
+	if err != nil {
+		return fmt.Errorf("compactor: %w", err)
+	}
+	go compactor.Run(stop)
+	if fbEvery > 0 {
+		fbc, err := service.NewFeedbackCompactor(sys)
+		if err != nil {
+			return fmt.Errorf("feedback compactor: %w", err)
+		}
+		fbc.EventsPerCompaction = fbEvery
+		fbc.Horizon = fbHorizon
+		fbc.Now = clock
+		go fbc.Run(stop)
+	}
+	if dur != nil {
+		ck, err := service.NewCheckpointer(dur)
+		if err != nil {
+			return fmt.Errorf("checkpointer: %w", err)
+		}
+		ck.Interval = ckInterval
+		go ck.Run(stop)
+	}
+	return nil
 }
 
 // finalCheckpoint flushes the WAL and writes the shutdown snapshot.

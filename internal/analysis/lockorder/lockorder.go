@@ -50,7 +50,7 @@ const (
 	orderPphcr     = "Durability.mu → barrier → shard → store → vector index"
 	orderPlancache = "shard.mu → genMu"
 	orderWAL       = "ioMu → stripe → commitMu/deferredMu"
-	orderReplicate = "Router.mu → nodeState.mu → Standby.mu"
+	orderReplicate = "Router.mu → nodeState.mu → Follower.mu → Standby.mu"
 )
 
 // key identifies a lock by the package name and type that own it plus
@@ -79,12 +79,15 @@ var (
 
 	// Replication locks. The router holds its topology lock while taking
 	// per-partition state locks (stats, reload), never the reverse.
+	// The follower's promote lock is held across Standby methods (the
+	// final poll, Err, Promote), so it sits above Standby.mu.
 	// Standby.mu is a leaf by design: it is always released before
 	// ApplyReplicated calls into the pphcr lock domain, so the apply path
 	// can never deadlock against the shipping bookkeeping.
-	clsReplRouter  = class{"replicate", 10, "router topology lock (Router.mu)", orderReplicate}
-	clsReplNode    = class{"replicate", 20, "partition state lock (nodeState.mu)", orderReplicate}
-	clsReplStandby = class{"replicate", 30, "standby apply lock (Standby.mu)", orderReplicate}
+	clsReplRouter   = class{"replicate", 10, "router topology lock (Router.mu)", orderReplicate}
+	clsReplNode     = class{"replicate", 20, "partition state lock (nodeState.mu)", orderReplicate}
+	clsReplFollower = class{"replicate", 25, "follower promote lock (Follower.mu)", orderReplicate}
+	clsReplStandby  = class{"replicate", 30, "standby apply lock (Standby.mu)", orderReplicate}
 )
 
 // fieldClasses maps mutex-valued fields to their class; the lock is
@@ -111,6 +114,7 @@ var fieldClasses = map[key]class{
 
 	{"replicate", "Router", "mu"}:    clsReplRouter,
 	{"replicate", "nodeState", "mu"}: clsReplNode,
+	{"replicate", "Follower", "mu"}:  clsReplFollower,
 	{"replicate", "Standby", "mu"}:   clsReplStandby,
 }
 

@@ -1,7 +1,8 @@
 // Package replicate mirrors the replication locks the analyzer keys
-// on: the router's topology lock, the per-partition state lock, and the
-// standby's apply lock (a leaf by design — always released before the
-// apply path calls into the pphcr domain).
+// on: the router's topology lock, the per-partition state lock, the
+// follower's promote lock, and the standby's apply lock (a leaf by
+// design — always released before the apply path calls into the pphcr
+// domain).
 package replicate
 
 import "sync"
@@ -61,4 +62,28 @@ func (s *Standby) AppliedSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.applied
+}
+
+type Follower struct {
+	mu      sync.Mutex
+	standby *Standby
+}
+
+// promote is the well-formed nesting: the promote lock held across the
+// standby's own locking.
+func (f *Follower) promote() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.standby.mu.Lock()
+	defer f.standby.mu.Unlock()
+	return f.standby.applied
+}
+
+// promoteUnderStandby takes the promote lock while holding the standby's
+// apply lock — the reverse of the documented order.
+func promoteUnderStandby(f *Follower) {
+	f.standby.mu.Lock()
+	f.mu.Lock() // want `lock order inversion: acquiring follower promote lock \(Follower.mu\) while holding standby apply lock \(Standby.mu\)`
+	f.mu.Unlock()
+	f.standby.mu.Unlock()
 }

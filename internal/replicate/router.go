@@ -218,7 +218,7 @@ func (r *Router) failover(ns *nodeState) {
 		"node", ns.node.ID, "leader", ns.node.URL, "standby", ns.node.Standby)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ns.node.Standby+"/replication/promote", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ns.node.Standby+promotePath, nil)
 	if err != nil {
 		r.Logger.Error("promote request", "node", ns.node.ID, "err", err)
 		return
@@ -496,7 +496,7 @@ func (r *Router) ackBarrier(ctx context.Context, ns *nodeState, walSeqHeader str
 		"seq":        {strconv.FormatUint(seq, 10)},
 		"timeout_ms": {strconv.FormatInt(r.AckTimeout.Milliseconds(), 10)},
 	}
-	req, err := http.NewRequestWithContext(ackCtx, http.MethodGet, standby+"/replication/wait?"+q.Encode(), nil)
+	req, err := http.NewRequestWithContext(ackCtx, http.MethodGet, standby+waitPath+"?"+q.Encode(), nil)
 	if err != nil {
 		return err
 	}

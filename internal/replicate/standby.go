@@ -96,8 +96,10 @@ func NewStandby(sys *pphcr.System, dir, leaderURL, prefix string) (*Standby, err
 
 // Run polls until stop closes or an apply error wedges the standby.
 // Fetch errors (leader down, mid-failover) are retried forever — a
-// follower outliving its leader is the whole point.
+// follower outliving its leader is the whole point. Run may be called
+// again after it returned (a failed promotion resumes tailing).
 func (s *Standby) Run(stop <-chan struct{}) {
+	s.resume()
 	t := time.NewTicker(s.Interval)
 	defer t.Stop()
 	for {
@@ -120,6 +122,14 @@ func (s *Standby) Run(stop <-chan struct{}) {
 			// transient fetch failure: keep polling
 		}
 	}
+}
+
+// resume clears the mark a stopped Run left, so WaitApplied blocks again
+// instead of failing with "standby stopped".
+func (s *Standby) resume() {
+	s.mu.Lock()
+	s.stopped = false
+	s.mu.Unlock()
 }
 
 // Poll runs one tail iteration: fetch the leader manifest, ship new

@@ -2,13 +2,13 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -261,30 +261,31 @@ func splitAckKey(k string) (user, item string, unix int64) {
 	return k, "", 0
 }
 
-// KillNodeOptions sizes the in-process kill-a-node scenario: a
-// two-System cluster (leader + warm standby) behind a real Router, all
-// over real HTTP, with the leader crash-killed mid-storm.
+// KillNodeOptions sizes the kill-a-node scenario. By default it
+// builds an in-process two-System cluster (leader + warm standby)
+// behind a real Router, all over real HTTP, and crash-kills the leader
+// mid-storm. With RouterURL set it storms that external cluster
+// instead, whose leader something outside the process kills.
 type KillNodeOptions struct {
-	Seed      int64
-	Users     int
-	Writers   int
-	Duration  time.Duration
+	Seed     int64
+	Users    int
+	Writers  int
+	Duration time.Duration
+	// KillAfter is when the in-process leader dies (default a third of
+	// Duration).
 	KillAfter time.Duration
-	Logf      func(string, ...interface{})
+	// RouterURL is an external cluster's front door; FollowerURL, when
+	// set, is its standby, polled for replication lag.
+	RouterURL   string
+	FollowerURL string
+	Logf        func(string, ...interface{})
 }
 
-// RunKillNode builds the cluster, runs the storm, kills the leader,
-// and returns the oracle report. The harness mirrors the production
-// wiring exactly: httpapi servers with WAL-seq stamping and write
-// gates, a shipping Source on the leader, a Standby tail with
-// wait/promote endpoints on the follower, and the Router's health
-// detector doing the promotion.
+// RunKillNode runs the storm against the cluster and returns the
+// oracle report.
 func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	if o.Users <= 0 {
 		o.Users = 16
-	}
-	if o.Writers <= 0 {
-		o.Writers = 4
 	}
 	if o.Duration <= 0 {
 		o.Duration = 6 * time.Second
@@ -296,170 +297,112 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-
-	w, err := synth.GenerateWorld(synth.Params{
-		Seed: o.Seed, Days: 2, Users: 10, Stations: 2,
-		PodcastsPerDay: 10, TrainingDocsPerCategory: 8,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfg := pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: o.Seed}
-	newSys := func() (*pphcr.System, error) { return pphcr.New(cfg) }
-
-	// Leader: WAL with synchronous acks and retained segments (the
-	// follower bootstraps from sequence 1).
-	leaderSys, err := newSys()
-	if err != nil {
-		return nil, err
-	}
-	leaderDir, err := os.MkdirTemp("", "pphcr-killnode-leader-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(leaderDir)
-	leaderDur, err := pphcr.OpenDurability(leaderSys, pphcr.DurabilityOptions{
-		Dir: leaderDir, Sync: durable.SyncAlways, SegmentBytes: 256 << 10, RetainSegments: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	leaderAPI := httpapi.NewServer(leaderSys)
-	leaderAPI.SetReady(true)
-	leaderAPI.SetWALSeq(leaderDur.WALSeq)
-	leaderMux := http.NewServeMux()
-	leaderMux.Handle("/", leaderAPI.Handler())
-	replicate.NewSource(leaderDir, leaderDur.SyncWAL, leaderDur.WALSeq).Mount(leaderMux, "/replication")
-	leaderSrv := httptest.NewServer(leaderMux)
-	leaderDown := false
-	defer func() {
-		if !leaderDown {
-			leaderSrv.Close()
-		}
-	}()
-
-	// Follower: empty System tailing the leader, serving the ack wait
-	// and promote endpoints like cmd/pphcr-server's follower role.
-	followerSys, err := newSys()
-	if err != nil {
-		return nil, err
-	}
-	followerDir, err := os.MkdirTemp("", "pphcr-killnode-follower-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(followerDir)
-	standby, err := replicate.NewStandby(followerSys, followerDir, leaderSrv.URL, "/replication")
-	if err != nil {
-		return nil, err
-	}
-	standby.Interval = 10 * time.Millisecond
-	tailStop := make(chan struct{})
-	tailDone := make(chan struct{})
-	go func() { defer close(tailDone); standby.Run(tailStop) }()
-
-	followerAPI := httpapi.NewServer(followerSys)
-	followerAPI.SetReady(true)
-	followerAPI.SetRole(httpapi.RoleFollower)
-	followerAPI.SetReplicationLag(standby.LagSeconds)
-	var promoteMu sync.Mutex
-	promoted := false
-	var promotedDur *pphcr.Durability
-	followerMux := http.NewServeMux()
-	followerMux.Handle("/", followerAPI.Handler())
-	followerMux.HandleFunc("GET /replication/status", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(standby.Stats())
-	})
-	followerMux.HandleFunc("GET /replication/wait", func(rw http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
-		if err != nil {
-			http.Error(rw, `{"error":"bad seq"}`, http.StatusBadRequest)
-			return
-		}
-		timeout := 5 * time.Second
-		if ms, err := strconv.ParseInt(q.Get("timeout_ms"), 10, 64); err == nil && ms > 0 {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		if err := standby.WaitApplied(ctx, seq); err != nil {
-			http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusGatewayTimeout)
-			return
-		}
-		fmt.Fprintf(rw, `{"applied":%d}`+"\n", standby.AppliedSeq())
-	})
-	followerMux.HandleFunc("POST /replication/promote", func(rw http.ResponseWriter, r *http.Request) {
-		promoteMu.Lock()
-		defer promoteMu.Unlock()
-		if promoted {
-			fmt.Fprintln(rw, `{"promoted":true,"already":true}`)
-			return
-		}
-		followerAPI.SetRole(httpapi.RolePromoting)
-		close(tailStop)
-		<-tailDone
-		dur, replayed, err := standby.Promote(pphcr.DurabilityOptions{
-			Sync: durable.SyncAlways, RetainSegments: true,
-		})
-		if err != nil {
-			http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
-			return
-		}
-		promoted = true
-		promotedDur = dur
-		followerAPI.SetWALSeq(dur.WALSeq)
-		followerAPI.SetReplicationLag(func() float64 { return 0 })
-		followerAPI.SetRole(httpapi.RoleLeader)
-		logf("follower promoted: replayed %d, applied_seq %d", replayed, dur.WALSeq())
-		fmt.Fprintf(rw, `{"promoted":true,"replayed":%d}`+"\n", replayed)
-	})
-	followerSrv := httptest.NewServer(followerMux)
-	defer followerSrv.Close()
-	defer func() {
-		promoteMu.Lock()
-		defer promoteMu.Unlock()
-		if promotedDur != nil {
-			promotedDur.Close()
-		}
-	}()
-
-	// The front door.
-	topo := &replicate.Topology{Version: 1, Nodes: []replicate.Node{
-		{ID: "a", URL: leaderSrv.URL, Standby: followerSrv.URL},
-	}}
-	router := replicate.NewRouter(topo)
-	router.HealthInterval = 25 * time.Millisecond
-	router.HealthTimeout = 250 * time.Millisecond
-	router.FailThreshold = 3
-	routerStop := make(chan struct{})
-	defer close(routerStop)
-	go router.Run(routerStop)
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
-
-	users := make([]string, o.Users)
-	for i := range users {
-		users[i] = fmt.Sprintf("storm-user-%03d", i)
-	}
-	logf("kill-node cluster up: leader=%s follower=%s router=%s", leaderSrv.URL, followerSrv.URL, front.URL)
-	return RunFailoverStorm(FailoverOptions{
-		RouterURL:   front.URL,
-		FollowerURL: followerSrv.URL,
-		Users:       users,
+	storm := FailoverOptions{
+		RouterURL:   o.RouterURL,
+		FollowerURL: o.FollowerURL,
+		Users:       make([]string, o.Users),
 		Writers:     o.Writers,
 		Duration:    o.Duration,
 		KillAfter:   o.KillAfter,
 		AckTimeout:  15 * time.Second,
 		Logf:        logf,
-		Kill: func() {
-			// SIGKILL semantics: the process vanishes — no final flush, no
-			// graceful close, in-flight connections die.
-			leaderDur.Crash()
-			leaderSrv.CloseClientConnections()
-			leaderSrv.Close()
-			leaderDown = true
-		},
-	})
+	}
+	for i := range storm.Users {
+		storm.Users[i] = fmt.Sprintf("storm-user-%03d", i)
+	}
+	if o.RouterURL == "" {
+		// The in-process cluster; its deferred teardown runs after the
+		// storm. The wiring mirrors production: httpapi servers with
+		// WAL-seq stamping and write gates, a shipping Source on the
+		// leader, the follower role cmd/pphcr-server runs on the
+		// standby, and the Router's health detector doing the promotion.
+		w, err := synth.GenerateWorld(synth.Params{
+			Seed: o.Seed, Days: 2, Users: 10, Stations: 2,
+			PodcastsPerDay: 10, TrainingDocsPerCategory: 8,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cfg := pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: o.Seed}
+		root, err := os.MkdirTemp("", "pphcr-killnode-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(root)
+
+		// Leader: WAL with synchronous acks and retained segments (the
+		// follower bootstraps from sequence 1).
+		leaderSys, err := pphcr.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		leaderDir := filepath.Join(root, "leader")
+		leaderDur, err := pphcr.OpenDurability(leaderSys, pphcr.DurabilityOptions{
+			Dir: leaderDir, Sync: durable.SyncAlways, SegmentBytes: 256 << 10, RetainSegments: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		leaderAPI := httpapi.NewServer(leaderSys)
+		leaderAPI.SetReady(true)
+		leaderAPI.SetWALSeq(leaderDur.WALSeq)
+		leaderMux := http.NewServeMux()
+		leaderMux.Handle("/", leaderAPI.Handler())
+		replicate.NewSource(leaderDir, leaderDur.SyncWAL, leaderDur.WALSeq).Mount(leaderMux, "/replication")
+		leaderSrv := httptest.NewServer(leaderMux)
+		var killOnce sync.Once
+		storm.Kill = func() {
+			// SIGKILL semantics: the process vanishes — no final flush,
+			// no graceful close, in-flight connections die.
+			killOnce.Do(func() {
+				leaderDur.Crash()
+				leaderSrv.CloseClientConnections()
+				leaderSrv.Close()
+			})
+		}
+		defer storm.Kill()
+
+		// Follower: an empty System tailing the leader.
+		followerSys, err := pphcr.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		standby, err := replicate.NewStandby(followerSys, filepath.Join(root, "follower"), leaderSrv.URL, "/replication")
+		if err != nil {
+			return nil, err
+		}
+		standby.Interval = 10 * time.Millisecond
+		followerAPI := httpapi.NewServer(followerSys)
+		followerAPI.SetReady(true)
+		follower := replicate.StartFollower(standby, followerAPI, durable.SyncAlways, nil)
+		defer func() {
+			follower.Stop()
+			if dur := follower.Durability(); dur != nil {
+				dur.Close()
+			}
+		}()
+		followerMux := http.NewServeMux()
+		followerMux.Handle("/", followerAPI.Handler())
+		follower.Mount(followerMux)
+		followerSrv := httptest.NewServer(followerMux)
+		defer followerSrv.Close()
+
+		// The front door.
+		topo := &replicate.Topology{Version: 1, Nodes: []replicate.Node{
+			{ID: "a", URL: leaderSrv.URL, Standby: followerSrv.URL},
+		}}
+		router := replicate.NewRouter(topo)
+		router.HealthInterval = 25 * time.Millisecond
+		router.HealthTimeout = 250 * time.Millisecond
+		router.FailThreshold = 3
+		routerStop := make(chan struct{})
+		defer close(routerStop)
+		go router.Run(routerStop)
+		front := httptest.NewServer(router.Handler())
+		defer front.Close()
+
+		storm.RouterURL, storm.FollowerURL = front.URL, followerSrv.URL
+		logf("kill-node cluster up: leader=%s follower=%s router=%s", leaderSrv.URL, followerSrv.URL, front.URL)
+	}
+	return RunFailoverStorm(storm)
 }
